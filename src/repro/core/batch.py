@@ -10,7 +10,9 @@ and submits every task as one request to a batch-scoped
 :class:`~repro.sched.scheduler.EpochScheduler`, which interleaves their
 epoch steps over a shared training budget and session pool before the
 per-task :class:`~repro.core.results.SelectionResult` records are
-aggregated into one :class:`BatchSelectionReport`.
+aggregated into one :class:`BatchSelectionReport`.  This is also the
+blocking path: :meth:`~repro.core.pipeline.TwoPhaseSelector.select` is a
+one-target batch.
 
 Typical use::
 
@@ -39,8 +41,7 @@ from repro.core.results import (
 )
 from repro.core.selection import FineSelection
 from repro.data.tasks import ClassificationTask
-from repro.parallel.config import ParallelConfig
-from repro.parallel.executor import Executor, ExecutorLike, get_executor
+from repro.parallel.executor import ExecutorLike, get_executor
 from repro.utils.exceptions import SelectionError
 from repro.zoo.finetune import FineTuner
 
@@ -54,11 +55,12 @@ def build_phase_engines(
     """Construct the online-phase engine pair for one set of offline artifacts.
 
     Shared by :class:`BatchedSelectionRunner` and
-    :class:`~repro.core.pipeline.TwoPhaseSelector` so the two entry points
+    :class:`~repro.core.pipeline.TwoPhaseSelector` so the entry points
     can never drift in how they wire :class:`CoarseRecall` and
     :class:`FineSelection`.  ``parallel`` (an executor, config or spec
-    string) overrides ``artifacts.config.parallel`` as the executor both
-    engines fan their inner loops out over.  ``extrapolation`` (an
+    string) overrides ``artifacts.config.parallel`` as the executor the
+    recall fans its proxy scoring out over (fine-selection training fans
+    out over the scheduler's executor instead).  ``extrapolation`` (an
     :class:`~repro.core.extrapolation.ExtrapolationConfig`) sets the fine
     selection's default speculative early-stopping mode; ``None`` is exact.
     """
@@ -78,7 +80,6 @@ def build_phase_engines(
         artifacts.matrix,
         fine_tuner,
         config=config.fine_selection,
-        executor=executor,
         extrapolation=extrapolation,
     )
     return recall, fine_selection
@@ -246,8 +247,9 @@ class BatchedSelectionRunner:
         partially-trained sessions through the
         :class:`~repro.sched.pool.SessionPool` instead of each training
         privately.  Results are collected in submission order and every
-        per-target record is bitwise-identical to a serial
-        :meth:`~repro.core.pipeline.TwoPhaseSelector.select` run; each
+        per-target record is bitwise-identical to running that target
+        alone (one-target batches are how
+        :meth:`~repro.core.pipeline.TwoPhaseSelector.select` runs); each
         task's recall proxy cost is recorded on its
         ``SelectionResult.extra_epoch_cost`` exactly as before.
         """

@@ -373,16 +373,13 @@ class TwoPhaseSelector:
         *,
         top_k: Optional[int] = None,
     ) -> TwoPhaseResult:
-        """Select the best checkpoint for ``target`` with the two-phase method."""
+        """Select the best checkpoint for ``target`` with the two-phase method.
+
+        A one-request batch: the same epoch-scheduler path as
+        :meth:`select_many`.
+        """
         task = self._resolve_task(target)
-        recall_result = self._recall.recall(task, top_k=top_k)
-        selection_result = self._fine_selection.run(recall_result.recalled_models, task)
-        selection_result.extra_epoch_cost = recall_result.epoch_cost
-        return TwoPhaseResult(
-            target_name=task.name,
-            recall=recall_result,
-            selection=selection_result,
-        )
+        return self.select_many([task], top_k=top_k).result_for(task.name)
 
     def select_many(
         self,

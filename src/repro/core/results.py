@@ -104,10 +104,14 @@ class SelectionResult:
 
 @dataclass
 class TwoPhaseResult:
-    """End-to-end outcome of the two-phase (coarse-recall + fine-selection) run."""
+    """End-to-end outcome of the two-phase (coarse-recall + fine-selection) run.
+
+    ``recall`` is ``None`` only for a run over an explicit candidate list
+    (a policy's ``run(candidates, task)``), which has no recall phase.
+    """
 
     target_name: str
-    recall: RecallResult
+    recall: Optional[RecallResult]
     selection: SelectionResult
 
     @property
@@ -123,7 +127,8 @@ class TwoPhaseResult:
     @property
     def total_cost(self) -> float:
         """Total epoch-equivalent cost (proxy inference + fine-tuning)."""
-        return self.selection.runtime_epochs + self.recall.epoch_cost
+        recall_cost = self.recall.epoch_cost if self.recall is not None else 0.0
+        return self.selection.runtime_epochs + recall_cost
 
 
 def aggregate_epoch_accounting(results: Iterable[SelectionResult]) -> Dict[str, float]:

@@ -303,6 +303,8 @@ class RouterFrontEnd:
         self._wire_seq = 0
         self._refresh_lock = threading.Lock()
         self._stopped = False
+        #: Worker messages the relay failed to dispatch (and so dropped).
+        self._relay_errors = 0
 
         handles = supervisor.workers()
         versions = {
@@ -361,7 +363,8 @@ class RouterFrontEnd:
             try:
                 self._dispatch(link, payload)
             except Exception:  # noqa: BLE001 — a relay must never die
-                pass
+                with self._lock:
+                    self._relay_errors += 1
         link.dead = True
         self._on_link_down(link)
 
@@ -745,12 +748,14 @@ class RouterFrontEnd:
                     pending_by_worker[worker] = (
                         pending_by_worker.get(worker, 0) + 1
                     )
+                relay_errors = self._relay_errors
             stats = {
                 "router": {
                     "workers": len(self._supervisor.names),
                     "zoo_version": self._version_key,
                     "recovered": self.recovered_count,
                     "pending_by_worker": pending_by_worker,
+                    "relay_errors": relay_errors,
                     "admission": self._admission.stats(),
                     "supervisor": self._supervisor.stats(),
                 },

@@ -11,13 +11,20 @@ steps that resolve to the same pooled session, executes the round through a
 completed.  Admission control (bounded queue, ``max_concurrent``), per-request
 epoch quotas and deadlines bound the work any request can consume.
 
+This is the only engine that trains a plan: a blocking
+:meth:`~repro.core.pipeline.TwoPhaseSelector.select` is a one-request
+batch, and a policy's :meth:`~repro.core.selection.FineSelection.run` is a
+one-request scheduler over an explicit candidate list
+(``submit(candidates=...)`` skips the recall).
+
 Correctness does not depend on scheduling: every training step draws from
 the per-``(model, task)`` named random stream of its session and every read
 indexes the request's own epoch position, so a request's
 :class:`~repro.core.results.TwoPhaseResult` is bitwise-identical whether it
-ran alone through :class:`~repro.core.pipeline.TwoPhaseSelector`, batched,
-or interleaved with arbitrary concurrent traffic (enforced by the property
-suite in ``tests/property/test_property_scheduler.py``).  What scheduling
+ran alone, batched, or interleaved with arbitrary concurrent traffic — and
+identical to driving its plan serially over private sessions, the
+reference oracle in ``tests/oracles/serial_plan.py`` (enforced by the
+property suite in ``tests/property/test_property_scheduler.py``).  What scheduling
 *does* change is cost: overlapping requests share partially-trained
 checkpoints through the :class:`~repro.sched.pool.SessionPool`, so the
 aggregate epochs actually trained can be far below the epochs charged.
@@ -44,7 +51,7 @@ from repro.core.plan import SelectionPlan, TrainStep
 from repro.core.results import RecallResult, TwoPhaseResult
 from repro.data.tasks import ClassificationTask
 from repro.nn.batched import FusedSessionGroup
-from repro.parallel.executor import Executor, ExecutorLike, get_executor
+from repro.parallel.executor import ExecutorLike, get_executor
 from repro.persist.codec import (
     decode_recall,
     decode_result,
@@ -78,7 +85,10 @@ class SchedulerContext:
 
     In-flight requests keep the context they were admitted under; a zoo
     refresh only changes what *later* requests see — mirroring the
-    service's atomic artifact swap.
+    service's atomic artifact swap.  Sessions are built from
+    ``fine_selection.hub``; ``artifacts`` and ``recall`` serve recall
+    requests only, so a policy-only context (every request submitted with
+    ``candidates=``) may leave them ``None``.
     """
 
     artifacts: object
@@ -104,10 +114,13 @@ class SelectionRequest:
         context: SchedulerContext,
         deadline: Optional[float],
         epoch_quota: Optional[int],
+        candidates: Optional[List[str]] = None,
     ) -> None:
         self.id = request_id
         self.task = task
         self.top_k = top_k
+        #: Explicit candidate list (no recall phase), or ``None``.
+        self.candidates = candidates
         self.context = context
         self.deadline = deadline
         self.epoch_quota = epoch_quota
@@ -150,6 +163,8 @@ class SelectionRequest:
 def _resolve_task(context: SchedulerContext, target) -> ClassificationTask:
     from repro.core.batch import resolve_target_task
 
+    if isinstance(target, ClassificationTask):
+        return target  # policy-only contexts have no suite to resolve against
     return resolve_target_task(context.artifacts.suite, target)
 
 
@@ -253,9 +268,10 @@ class EpochScheduler:
     ) -> "EpochScheduler":
         """Scheduler over one fixed set of offline artifacts.
 
-        Engines default to a fresh pair built exactly as the serial
-        selector builds them (``build_phase_engines``), guaranteeing the
-        two entry points cannot drift.
+        Engines default to a fresh pair built exactly as
+        :class:`~repro.core.pipeline.TwoPhaseSelector` builds them
+        (``build_phase_engines``), guaranteeing the entry points cannot
+        drift.
         """
         from repro.core.batch import build_phase_engines
         from repro.zoo.finetune import FineTuner
@@ -301,8 +317,14 @@ class EpochScheduler:
         epoch_quota: Optional[int] = None,
         total_epochs: Optional[int] = None,
         extrapolate: Union[None, bool, ExtrapolationConfig] = None,
+        candidates: Optional[Sequence[str]] = None,
     ) -> SelectionRequest:
         """Enqueue one selection request; returns its handle immediately.
+
+        ``candidates`` skips the coarse recall: the request selects among
+        exactly these models, and its result carries ``recall=None``.  Such
+        requests are not journaled (their plan key would not cover the
+        list), so they cannot be submitted to a persisting scheduler.
 
         ``total_epochs`` overrides the fine-selection policy's epoch budget
         for this request only (the *raise-budget* verb): with a persisted
@@ -347,6 +369,10 @@ class EpochScheduler:
             timeout = self.config.timeout_seconds
         if epoch_quota is None:
             epoch_quota = self.config.max_epochs_per_request
+        if candidates is not None and self._persist is not None:
+            raise SchedulerError(
+                "explicit-candidate requests cannot be journaled"
+            )
         with self._lock:
             if self._closed:
                 raise SchedulerError("scheduler is closed")
@@ -364,6 +390,7 @@ class EpochScheduler:
                     time.monotonic() + timeout if timeout is not None else None
                 ),
                 epoch_quota=epoch_quota,
+                candidates=list(candidates) if candidates is not None else None,
             )
             if self._persist is not None:
                 request.plan_key = self._plan_key(context, task, top_k)
@@ -575,6 +602,9 @@ class EpochScheduler:
         # pay for the batched recall dispatch below.
         live: List[SelectionRequest] = []
         for request in admitted:
+            if request.candidates is not None:
+                self._begin_training(request, None)
+                continue
             action, restored_recall = self._admit_from_journal(request)
             if action == "result":
                 continue
@@ -605,7 +635,7 @@ class EpochScheduler:
             self._begin_training(request, outcome)
 
     def _begin_training(
-        self, request: SelectionRequest, recall_result: RecallResult
+        self, request: SelectionRequest, recall_result: Optional[RecallResult]
     ) -> None:
         try:
             self._start_plan(request, recall_result)
@@ -697,13 +727,16 @@ class EpochScheduler:
                 ):
                     context.artifacts.hub.get(name).source_head()
 
-    def _start_plan(self, request: SelectionRequest, recall_result) -> None:
+    def _start_plan(
+        self, request: SelectionRequest, recall_result: Optional[RecallResult]
+    ) -> None:
         context = request.context
+        hub = context.fine_selection.hub
         loader = self._persist.load_session if self._persist is not None else None
 
         def view_factory(name: str) -> PooledSessionView:
             view = self._pool.acquire(
-                context.artifacts.hub.get(name),
+                hub.get(name),
                 request.task,
                 version_key=context.version_key,
                 loader=loader,
@@ -715,7 +748,11 @@ class EpochScheduler:
             policy=context.fine_selection,
             task=request.task,
             view_factory=view_factory,
-            candidates=recall_result.recalled_models,
+            candidates=(
+                request.candidates
+                if recall_result is None
+                else recall_result.recalled_models
+            ),
             recall_result=recall_result,
         )
         request.plan = plan
@@ -1161,11 +1198,12 @@ class EpochScheduler:
         if not self._make_terminal(request):
             return
         request.result = request.plan.two_phase_result()
-        self._journal_append(
-            request,
-            "result",
-            encode_result(request.result, schedule=request.plan.stage_schedule),
-        )
+        if request.journal is not None:
+            self._journal_append(
+                request,
+                "result",
+                encode_result(request.result, schedule=request.plan.stage_schedule),
+            )
         request.state = DONE
         request.finished_at = time.monotonic()
         self._release_views(request)

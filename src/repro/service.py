@@ -9,19 +9,21 @@ of ``select`` / ``select_many`` / ``recall`` requests against them, fanning
 work out over the configured :mod:`repro.parallel` executor and keeping
 running totals (requests, epoch-equivalents spent) for observability.
 
-Two request paths exist:
+Every request runs on one engine, the
+:class:`~repro.sched.scheduler.EpochScheduler`, called two ways:
 
-* the **blocking** path — :meth:`SelectionService.select` and friends run
-  the caller's request to completion in the calling thread, exactly as a
-  bare :class:`~repro.core.pipeline.TwoPhaseSelector` would;
-* the **scheduled** path — :meth:`SelectionService.submit` enqueues the
-  request with the service's :class:`~repro.sched.scheduler.EpochScheduler`
-  and returns a handle immediately; :meth:`poll` streams per-stage
-  progress and :meth:`result` blocks for the outcome.  Concurrent
-  requests interleave at epoch granularity over a shared training budget
-  and reuse each other's partially-trained sessions through the
+* **blocking** — :meth:`SelectionService.select` and friends run the
+  caller's request to completion in the calling thread on a
+  request-scoped scheduler, exactly as a bare
+  :class:`~repro.core.pipeline.TwoPhaseSelector` would;
+* **scheduled** — :meth:`SelectionService.submit` enqueues the request
+  with the service's long-lived scheduler and returns a handle
+  immediately; :meth:`poll` streams per-stage progress and :meth:`result`
+  blocks for the outcome.  Concurrent requests interleave at epoch
+  granularity over a shared training budget and reuse each other's
+  partially-trained sessions through the
   :class:`~repro.sched.pool.SessionPool` — results are bitwise-identical
-  to the blocking path either way (see ``docs/serving.md``).
+  to the blocking calls either way (see ``docs/serving.md``).
 
 The service is thread-safe: the engines it shares across requests hold no
 per-request mutable state, lazy checkpoint construction is lock-guarded in

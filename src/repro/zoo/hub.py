@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.cache.keys import fingerprint_text
 from repro.data.workloads import WorkloadSuite
-from repro.utils.exceptions import HubError
+from repro.utils.exceptions import DataError, HubError
 from repro.utils.rng import RngFactory
 from repro.zoo.catalog import ModelCatalogEntry, catalog_for_modality
 from repro.zoo.model_cards import render_model_card
@@ -327,7 +327,7 @@ class ModelHub:
         for dataset_name in entry.finetune_datasets:
             try:
                 domains.append(self.suite.spec(dataset_name).domain)
-            except Exception:
+            except DataError:
                 # Fine-tune dataset not part of this suite (e.g. a target-only
                 # dataset filtered out in a reduced suite) — skip it.
                 continue

@@ -2,11 +2,13 @@
 
 The parallel subsystem's core guarantee (docs/parallelism.md) is that the
 serial, thread and process executors return identical results at every
-granularity — proxy scoring, stage training, batched fan-out.  These tests
-pin that guarantee on the reduced session fixtures.
+granularity — proxy scoring, scheduler training rounds, batched fan-out.
+These tests pin that guarantee on the reduced session fixtures, checking
+stage training against the serial plan oracle under ``tests/oracles``.
 """
 
 import pytest
+from oracles.serial_plan import serial_run
 
 from repro.core.batch import BatchedSelectionRunner, build_phase_engines
 from repro.core.config import RecallConfig
@@ -14,6 +16,8 @@ from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
 from repro.core.recall import CoarseRecall
 from repro.core.selection import FineSelection, SuccessiveHalving
 from repro.parallel import get_executor
+from repro.sched.config import SchedulerConfig
+from repro.sched.scheduler import EpochScheduler, SchedulerContext
 
 BACKENDS = ["serial", "thread:4", "process:4"]
 
@@ -39,6 +43,25 @@ def _recall_result(nlp_hub_small, nlp_matrix_small, nlp_clustering_small, task, 
     return recall.recall(task)
 
 
+def _scheduled_run(policy, candidates, task, parallel):
+    """``policy.run`` semantics on a scheduler with the given backend."""
+    context = SchedulerContext(
+        artifacts=None,
+        recall=None,
+        fine_selection=policy,
+        version_key="test",
+        fine_tuner=policy.fine_tuner,
+    )
+    scheduler = EpochScheduler(
+        lambda: context,
+        config=SchedulerConfig(max_concurrent=1, epoch_budget=None),
+        parallel=parallel,
+    )
+    request = scheduler.submit(task, candidates=candidates)
+    scheduler.run_until_idle()
+    return scheduler.result(request).selection
+
+
 class TestRecallAcrossBackends:
     @pytest.mark.parametrize("parallel", BACKENDS[1:])
     def test_recall_identical_to_serial(
@@ -58,21 +81,15 @@ class TestRecallAcrossBackends:
 
 
 class TestSelectionAcrossBackends:
-    @pytest.mark.parametrize("parallel", BACKENDS[1:])
+    @pytest.mark.parametrize("parallel", BACKENDS)
     def test_fine_selection_identical_to_serial(
         self, nlp_hub_small, nlp_matrix_small, nlp_suite_small, fine_tuner, parallel
     ):
         task = nlp_suite_small.task("mnli")
         candidates = nlp_hub_small.model_names[:6]
-        reference = FineSelection(
-            nlp_hub_small, nlp_matrix_small, fine_tuner
-        ).run(candidates, task)
-        result = FineSelection(
-            nlp_hub_small,
-            nlp_matrix_small,
-            fine_tuner,
-            executor=get_executor(parallel),
-        ).run(candidates, task)
+        policy = FineSelection(nlp_hub_small, nlp_matrix_small, fine_tuner)
+        reference = serial_run(policy, candidates, task)
+        result = _scheduled_run(policy, candidates, task, parallel)
         assert result.selected_model == reference.selected_model
         assert result.selected_accuracy == reference.selected_accuracy
         assert result.runtime_epochs == reference.runtime_epochs
@@ -86,10 +103,10 @@ class TestSelectionAcrossBackends:
     ):
         task = nlp_suite_small.task("boolq")
         candidates = nlp_hub_small.model_names[:4]
-        reference = SuccessiveHalving(nlp_hub_small, fine_tuner).run(candidates, task)
-        result = SuccessiveHalving(
-            nlp_hub_small, fine_tuner, executor=get_executor("thread:2")
-        ).run(candidates, task)
+        policy = SuccessiveHalving(nlp_hub_small, fine_tuner)
+        reference = serial_run(policy, candidates, task)
+        result = _scheduled_run(policy, candidates, task, "thread:2")
+        assert policy.run(candidates, task) == reference
         assert result.selected_model == reference.selected_model
         assert result.final_accuracies == reference.final_accuracies
 
@@ -130,4 +147,5 @@ class TestBatchAcrossBackends:
             nlp_artifacts, fine_tuner, parallel=executor
         )
         assert recall._executor is executor
-        assert fine_selection._executor is executor
+        # Stage training fans out over the scheduler's executor instead.
+        assert not hasattr(fine_selection, "_executor")

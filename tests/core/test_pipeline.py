@@ -1,5 +1,8 @@
 """Tests for the end-to-end two-phase pipeline."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -67,3 +70,33 @@ class TestTwoPhaseSelector:
         assert a.selected_model == b.selected_model
         assert a.recall.recalled_models == b.recall.recalled_models
         assert a.total_cost == b.total_cost
+
+    def test_select_releases_its_sessions_without_cyclic_gc(
+        self, artifacts, fine_tuner, monkeypatch
+    ):
+        """A finished blocking select leaves nothing that pins its pool.
+
+        ``select`` runs a one-request scheduler whose pool owns every
+        session it trained; a reference cycle through the finished request
+        would keep them alive until a cyclic collection — measurable as
+        peak-RSS growth across many distinct requests.  With the collector
+        off, plain reference counting must free them on return.
+        """
+        selector = TwoPhaseSelector(artifacts, fine_tuner=fine_tuner)
+        sessions = []
+        start_session = selector.fine_tuner.start_session
+
+        def recording_start(model, task):
+            session = start_session(model, task)
+            sessions.append(weakref.ref(session))
+            return session
+
+        monkeypatch.setattr(selector.fine_tuner, "start_session", recording_start)
+        gc.collect()
+        gc.disable()
+        try:
+            result = selector.select("mnli", top_k=4)
+            assert len(sessions) == len(result.recall.recalled_models)
+            assert [ref for ref in sessions if ref() is not None] == []
+        finally:
+            gc.enable()

@@ -2,7 +2,7 @@
 
 The acceptance property of the epoch scheduler — a request's result is
 bitwise-identical (winner, stage records, validation scores, costs) to the
-pre-refactor serial path — must hold for *every* scheduling configuration:
+serial plan oracle (``tests/oracles/serial_plan.py``) — must hold for *every* scheduling configuration:
 any policy, any epoch budget, any concurrency, any interleaving with other
 requests, any executor backend.  Hypothesis drives randomized mixes
 through the scheduler and compares each request against the serial oracle
@@ -12,8 +12,9 @@ computed once per session.
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles.serial_plan import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
 
 TARGETS = ["mnli", "boolq"]
@@ -31,12 +32,11 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_oracle(artifacts):
-    """The blocking path's results, computed once per (target, top_k)."""
-    selector = TwoPhaseSelector(artifacts)
+    """The serial oracle's results, computed once per (target, top_k)."""
     oracle = {}
     for target in TARGETS:
         for top_k in (None, 3, 5):
-            oracle[(target, top_k)] = selector.select(target, top_k=top_k)
+            oracle[(target, top_k)] = serial_select(artifacts, target, top_k=top_k)
     return oracle
 
 

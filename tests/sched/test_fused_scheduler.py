@@ -3,13 +3,14 @@
 The contract under test: whatever ``fused_training`` is set to, and
 whatever executor backend runs the round, the scheduler's answers —
 selected models, curves, epoch accounting — are bitwise-identical to the
-serial two-phase selector.  Fusion may only change *speed*, observable
+serial plan oracle.  Fusion may only change *speed*, observable
 through the ``stats()["train"]`` counters.
 """
 
 import pytest
+from oracles.serial_plan import serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.pipeline import OfflineArtifacts
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import ConfigurationError
 
@@ -28,8 +29,7 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_results(artifacts):
-    selector = TwoPhaseSelector(artifacts)
-    return {name: selector.select(name) for name in TARGETS}
+    return {name: serial_select(artifacts, name) for name in TARGETS}
 
 
 def run_scheduler(artifacts, *, fused, parallel=None, **overrides):
@@ -126,8 +126,7 @@ class TestFusedRounds:
             return [loss + 1e-9 for loss in losses], accuracies
 
         monkeypatch.setattr(batched, "fused_fit_epoch", lying_fit_epoch)
-        selector = TwoPhaseSelector(artifacts)
-        oracle = {name: selector.select(name) for name in TARGETS}
+        oracle = {name: serial_select(artifacts, name) for name in TARGETS}
         results, stats = run_scheduler(artifacts, fused=True)
         for name in TARGETS:
             assert_identical(results[name], oracle[name])

@@ -3,8 +3,11 @@
 import threading
 
 import pytest
+from oracles.serial_plan import serial_run, serial_select
 
-from repro.core.pipeline import OfflineArtifacts, TwoPhaseSelector
+from repro.core.batch import build_phase_engines
+from repro.core.pipeline import OfflineArtifacts
+from repro.persist.store import PlanStore
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import (
     BudgetExhaustedError,
@@ -27,8 +30,7 @@ def artifacts(nlp_hub_small, nlp_suite_small, test_pipeline_config, fine_tuner):
 
 @pytest.fixture(scope="module")
 def serial_results(artifacts):
-    selector = TwoPhaseSelector(artifacts)
-    return {name: selector.select(name) for name in ("mnli", "boolq")}
+    return {name: serial_select(artifacts, name) for name in ("mnli", "boolq")}
 
 
 def make_scheduler(artifacts, **overrides):
@@ -91,6 +93,36 @@ class TestSingleRequest:
         assert snapshot["progress"]["phase"] == "done"
         assert snapshot["latency_seconds"] >= 0
         assert snapshot["progress"]["stages_completed"]
+
+
+class TestExplicitCandidates:
+    CANDIDATES = ["roberta-base", "bert-base-uncased", "albert-base-v2"]
+
+    def test_candidates_skip_recall_and_match_oracle(self, artifacts):
+        from repro.zoo.finetune import FineTuner
+
+        recall, policy = build_phase_engines(artifacts, FineTuner(seed=0))
+        scheduler = EpochScheduler.for_artifacts(
+            artifacts, recall=recall, fine_selection=policy,
+            config=SchedulerConfig(max_concurrent=2, epoch_budget=3),
+        )
+        task = artifacts.suite.task("mnli")
+        explicit = scheduler.submit(task, candidates=self.CANDIDATES)
+        recalled = scheduler.submit("boolq")
+        scheduler.run_until_idle()
+        result = scheduler.result(explicit)
+        assert result.recall is None
+        assert result.selection == serial_run(policy, self.CANDIDATES, task)
+        assert result.selection.extra_epoch_cost == 0.0
+        assert result.total_cost == result.selection.runtime_epochs
+        assert scheduler.result(recalled).recall is not None
+
+    def test_candidates_are_never_journaled(self, artifacts, tmp_path):
+        scheduler = EpochScheduler.for_artifacts(
+            artifacts, persist=PlanStore(tmp_path / "store")
+        )
+        with pytest.raises(SchedulerError, match="journaled"):
+            scheduler.submit("mnli", candidates=self.CANDIDATES)
 
 
 class TestConcurrentRequests:

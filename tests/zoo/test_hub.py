@@ -1,5 +1,7 @@
 """Tests for repro.zoo.hub.ModelHub."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,21 @@ class TestModelConstruction:
         intra = qqp_models[0].domain_affinity(qqp_models[1].domain)
         inter = qqp_models[0].domain_affinity(base.domain)
         assert intra > inter
+
+    def test_finetune_anchor_skips_only_unknown_datasets(
+        self, nlp_suite_small, monkeypatch
+    ):
+        hub = ModelHub(nlp_suite_small, seed=0)
+        entry = hub.entry("ishan/bert-base-uncased-mnli")
+        unknown = dataclasses.replace(entry, finetune_datasets=("no-such-set",))
+        assert hub._finetune_anchor(unknown) is None  # DataError: skipped
+
+        def broken_spec(name):
+            raise RuntimeError("spec table corrupted")
+
+        monkeypatch.setattr(hub.suite, "spec", broken_spec)
+        with pytest.raises(RuntimeError, match="corrupted"):
+            hub._finetune_anchor(entry)
 
     def test_model_cards_generated_for_all(self, nlp_hub_small):
         cards = nlp_hub_small.model_cards()
