@@ -153,10 +153,6 @@ def _build_hub(args: argparse.Namespace):
     return suite, hub
 
 
-# JSON payload helpers are shared with the serve front-end.
-_result_payload = result_payload
-
-
 def _scheduler_failure(error: Exception, stream) -> int:
     """Report a scheduler admission/budget failure: JSON object + exit 3."""
     json.dump(error_payload(error), stream, indent=2)
@@ -225,7 +221,7 @@ def _cmd_select(args: argparse.Namespace, stream) -> int:
         result = service.select(args.target, top_k=args.top_k)
     elapsed = time.perf_counter() - started
     if args.json:
-        payload = _result_payload(result)
+        payload = result_payload(result)
         payload["elapsed_seconds"] = elapsed
         if anytime is not None:
             payload["anytime"] = anytime
@@ -269,7 +265,7 @@ def _cmd_batch(args: argparse.Namespace, stream) -> int:
     if args.json:
         payload = {
             "targets": {
-                name: _result_payload(report.result_for(name))
+                name: result_payload(report.result_for(name))
                 for name in report.target_names
             },
             "totals": report.summary(),
@@ -337,11 +333,25 @@ def _cmd_serve(args: argparse.Namespace, stream) -> int:
         banner["store_dir"] = args.store_dir
         banner["recovered"] = front.recovered_count
         banner["store"] = store_summary(service._persist)
-    if args.port is not None:
-        server = front.serve_tcp(args.host, args.port)
-        banner["port"] = server.server_address[1]
+    return _serve_until_done(front, args, banner, stream, service.close)
+
+
+def _serve_until_done(front, args: argparse.Namespace, banner: dict, stream,
+                      cleanup) -> int:
+    """Print the ``serving`` banner, then serve TCP (``--port``) or stdio.
+
+    Shared by the single-process and routed front ends; ``cleanup`` runs
+    however serving ends.
+    """
+    try:
+        server = None
+        if args.port is not None:
+            server = front.serve_tcp(args.host, args.port)
+            banner["port"] = server.server_address[1]
         json.dump(banner, stream)
         print(file=stream, flush=True)
+        if server is None:
+            return front.serve_stream(sys.stdin, stream)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -349,13 +359,9 @@ def _cmd_serve(args: argparse.Namespace, stream) -> int:
         finally:
             server.shutdown()
             server.server_close()
-            service.close()
         return 0
-    json.dump(banner, stream)
-    print(file=stream, flush=True)
-    code = front.serve_stream(sys.stdin, stream)
-    service.close()
-    return code
+    finally:
+        cleanup()
 
 
 def _cmd_serve_routed(args: argparse.Namespace, stream) -> int:
@@ -434,29 +440,11 @@ def _cmd_serve_routed(args: argparse.Namespace, stream) -> int:
     except ValueError:
         pass  # not the main thread (in-process tests); watchdog covers us
 
-    if args.port is not None:
-        server = front.serve_tcp(args.host, args.port)
-        banner["port"] = server.server_address[1]
-        json.dump(banner, stream)
-        print(file=stream, flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            server.server_close()
-            front.close()
-            supervisor.stop()
-        return 0
-    json.dump(banner, stream)
-    print(file=stream, flush=True)
-    try:
-        code = front.serve_stream(sys.stdin, stream)
-    finally:
+    def cleanup() -> None:
         front.close()
         supervisor.stop()
-    return code
+
+    return _serve_until_done(front, args, banner, stream, cleanup)
 
 
 def _cmd_zoo(args: argparse.Namespace, stream) -> int:

@@ -33,17 +33,21 @@ Topology, tuning and failure semantics are documented in
 
 from __future__ import annotations
 
-import json
-import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.distrib.ring import HashRing, route_key
 from repro.distrib.supervisor import WorkerSupervisor
 from repro.distrib.wire import JsonLinesConnection
-from repro.serving import SocketLineWriter, error_payload
+from repro.serving import (
+    LineProtocol,
+    LineSession,
+    ShutdownTimeout,
+    error_payload,
+    with_id,
+)
 from repro.utils.exceptions import (
     BudgetExhaustedError,
     QueueFullError,
@@ -249,36 +253,30 @@ class _Collector:
         self.add(worker, None)
 
 
-class _RouterSession:
+class _RouterSession(LineSession):
     """One connected client stream: its writer and id namespace."""
 
-    def __init__(self, index: int, out) -> None:
+    def __init__(self, index: int, out, *, binary: bool) -> None:
+        super().__init__(out, binary=binary)
         self.index = index
-        self._out = out
-        self._write_lock = threading.Lock()
         #: client id -> (worker, wire id) of live requests (pruned on
         #: terminal events, mirroring the single-process emitter).
         self.by_client: Dict[object, Tuple[str, str]] = {}
         #: (worker, wire id) -> client id, retained until the session
         #: closes so late worker replies can still be rewritten.
         self.wire_to_client: Dict[Tuple[str, str], object] = {}
-        self.shutdown_requested = False
-        self.closed = False
-
-    def emit(self, payload: Dict[str, object]) -> None:
-        try:
-            with self._write_lock:
-                self._out.write(json.dumps(payload) + "\n")
-                self._out.flush()
-        except (OSError, ValueError):
-            self.closed = True  # client gone; later events are dropped
 
 
 # --------------------------------------------------------------------------- #
 # the router front end
 # --------------------------------------------------------------------------- #
-class RouterFrontEnd:
-    """Protocol-transparent consistent-hash router over a worker fleet."""
+class RouterFrontEnd(LineProtocol):
+    """Protocol-transparent consistent-hash router over a worker fleet.
+
+    The protocol layer (:class:`~repro.serving.LineProtocol`) is shared
+    with the single-process front end; this class only registers the
+    routed op handlers and the per-stream session lifecycle.
+    """
 
     def __init__(
         self,
@@ -362,9 +360,21 @@ class RouterFrontEnd:
                 break
             try:
                 self._dispatch(link, payload)
-            except Exception:  # noqa: BLE001 — a relay must never die
+            except Exception as error:  # noqa: BLE001 — a relay must never die
+                wire_id = payload.get("id") if isinstance(payload, dict) else None
                 with self._lock:
                     self._relay_errors += 1
+                    route = (
+                        self._routes.get((link.name, wire_id))
+                        if isinstance(wire_id, str) else None
+                    )
+                if route is not None:
+                    # The dropped event may have been the route's terminal
+                    # one: fail it rather than leave its client waiting.
+                    self._fail_route(route, ReproError(
+                        f"router failed to relay an event from worker "
+                        f"{link.name!r}: {error}"
+                    ))
         link.dead = True
         self._on_link_down(link)
 
@@ -423,17 +433,12 @@ class RouterFrontEnd:
         payload = dict(payload)
         payload["id"] = route.client_id
         if event in ("result", "failed"):
-            with self._lock:
-                self._routes.pop((route.worker, route.wire_id), None)
-                if route.session is not None:
-                    route.session.by_client.pop(route.client_id, None)
-            if route.tenant is not None:
-                epochs = payload.get("runtime_epochs") or 0.0
-                try:
-                    epochs = float(epochs)
-                except (TypeError, ValueError):
-                    epochs = 0.0
-                self._admission.release(route.tenant, epochs=epochs)
+            epochs = payload.get("runtime_epochs") or 0.0
+            try:
+                epochs = float(epochs)
+            except (TypeError, ValueError):
+                epochs = 0.0
+            self._close_route(route, epochs=epochs)
         self._deliver(route, payload)
 
     def _deliver(self, route: _Route, payload: Dict[str, object]) -> None:
@@ -501,15 +506,28 @@ class RouterFrontEnd:
             except OSError:
                 self._fail_route(route, lost)
 
-    def _fail_route(self, route: _Route, error: ReproError) -> None:
+    def _close_route(self, route: _Route, *, epochs: float = 0.0) -> bool:
+        """Retire ``route``: drop it from the route table and its session,
+        and return its tenant's admission slot (charging ``epochs``).
+
+        Returns ``False`` — releasing nothing — when the route was already
+        closed, so a terminal event racing a drain or detach is released
+        exactly once.
+        """
+        key = (route.worker, route.wire_id)
         with self._lock:
-            existing = self._routes.pop((route.worker, route.wire_id), None)
-            if existing is not route:
-                return  # already terminal
+            if self._routes.get(key) is not route:
+                return False
+            del self._routes[key]
             if route.session is not None:
                 route.session.by_client.pop(route.client_id, None)
         if route.tenant is not None:
-            self._admission.release(route.tenant)
+            self._admission.release(route.tenant, epochs=epochs)
+        return True
+
+    def _fail_route(self, route: _Route, error: ReproError) -> None:
+        if not self._close_route(route):
+            return  # already terminal
         payload: Dict[str, object] = {
             "event": "failed", "id": route.client_id, **error_payload(error)
         }
@@ -582,63 +600,15 @@ class RouterFrontEnd:
                 session.emit(payload)
 
     # ------------------------------------------------------------------ #
-    # protocol dispatch (mirrors ServeFrontEnd.handle_line)
+    # op handlers (dispatched by LineProtocol.handle_line)
     # ------------------------------------------------------------------ #
-    def handle_line(
-        self, line: str, session: _RouterSession
-    ) -> Optional[Dict[str, object]]:
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"event": "error", "message": f"malformed JSON: {error}"}
-        if not isinstance(message, dict):
-            return {"event": "error", "message": "expected a JSON object"}
-        op = message.get("op")
-        request_id = message.get("id")
-        try:
-            if op == "select":
-                return self._handle_select(message, session)
-            if op == "poll":
-                return self._handle_poll(message, session)
-            if op == "resume":
-                return self._handle_resume(message, session)
-            if op == "stats":
-                return self._handle_stats(message, session)
-            if op == "refresh":
-                return self._handle_refresh(message, session)
-            if op == "ping":
-                payload = {
-                    "event": "pong",
-                    "workers": len(self._supervisor.workers()),
-                    "sessions": len(self._sessions),
-                }
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "shutdown":
-                session.shutdown_requested = True
-                payload = {"event": "shutting_down"}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            return {"event": "error", "id": request_id,
-                    "message": f"unknown op {op!r}"}
-        except ReproError as error:
-            payload = {"event": "failed", **error_payload(error)}
-            if request_id is not None:
-                payload["id"] = request_id
-            return payload
-
     def _next_wire_id(self, session: _RouterSession, *, prefix: str = "") -> str:
         with self._lock:
             self._wire_seq += 1
             return f"c{session.index}-{prefix}{self._wire_seq}"
 
     def _handle_select(self, message, session) -> Optional[Dict[str, object]]:
-        target = message.get("target")
-        if not isinstance(target, str) or not target:
-            return {"event": "error", "id": message.get("id"),
-                    "message": "select needs a 'target' string"}
+        target = message["target"]
         tenant = message.get("tenant")
         tenant = tenant if isinstance(tenant, str) and tenant else "default"
         self._admission.admit(tenant)  # raises -> structured failed event
@@ -684,6 +654,13 @@ class RouterFrontEnd:
                     "message": f"unknown request id {request_id!r}"}
         return None
 
+    def _handle_ping(self, message, session) -> Dict[str, object]:
+        return with_id({
+            "event": "pong",
+            "workers": len(self._supervisor.workers()),
+            "sessions": len(self._sessions),
+        }, message.get("id"))
+
     def _broadcast(self, payload: Dict[str, object], callback) -> None:
         """Send ``payload`` to every worker; ``callback(replies)`` merges.
 
@@ -728,12 +705,10 @@ class RouterFrontEnd:
                     worker_rid = str(entry.get("id"))
                     route = self._register_recovered(worker, worker_rid, session)
                     requests.append({**entry, "id": route.client_id})
-            payload: Dict[str, object] = {
-                "event": "recovered", "count": count, "requests": requests,
-            }
-            if request_id is not None:
-                payload["id"] = request_id
-            session.emit(payload)
+            session.emit(with_id(
+                {"event": "recovered", "count": count, "requests": requests},
+                request_id,
+            ))
 
         self._broadcast({"op": "resume"}, merged)
         return None
@@ -764,10 +739,7 @@ class RouterFrontEnd:
                     for worker, reply in sorted(replies.items())
                 },
             }
-            payload: Dict[str, object] = {"event": "stats", "stats": stats}
-            if request_id is not None:
-                payload["id"] = request_id
-            session.emit(payload)
+            session.emit(with_id({"event": "stats", "stats": stats}, request_id))
 
         self._broadcast({"op": "stats"}, merged)
         return None
@@ -778,9 +750,6 @@ class RouterFrontEnd:
         added = message.get("added") or []
         removed = message.get("removed") or []
         request_id = message.get("id")
-        if not added and not removed:
-            return {"event": "error", "id": request_id,
-                    "message": "refresh needs 'added' and/or 'removed' model names"}
         with self._refresh_lock:
             replies: Dict[str, Dict[str, object]] = {}
             for handle in self._supervisor.workers():
@@ -817,7 +786,7 @@ class RouterFrontEnd:
                         "message": f"workers diverged on refresh: {sorted(versions)}"}
             old_version, self._version_key = self._version_key, versions.pop()
         first = next(iter(replies.values()))
-        payload: Dict[str, object] = {
+        return with_id({
             "event": "refreshed",
             "zoo_version": self._version_key,
             "old_version": old_version,
@@ -825,19 +794,16 @@ class RouterFrontEnd:
             "removed": first.get("removed"),
             "reclustered": first.get("reclustered"),
             "workers": len(replies),
-        }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
+        }, request_id)
 
     # ------------------------------------------------------------------ #
     # session lifecycle
     # ------------------------------------------------------------------ #
-    def _attach_session(self, out) -> _RouterSession:
+    def _open_session(self, out, *, binary: bool) -> _RouterSession:
         with self._lock:
             index = self._session_seq
             self._session_seq += 1
-            session = _RouterSession(index, out)
+            session = _RouterSession(index, out, binary=binary)
             self._sessions[index] = session
         # The first stream adopts whatever startup recovery parked, the
         # same way the single-process front end hands recovered handles
@@ -845,110 +811,24 @@ class RouterFrontEnd:
         self._adopt_parked(session)
         return session
 
-    def _drain_session(self, session: _RouterSession) -> None:
-        """Wait out the session's in-flight requests, then abandon
-        stragglers with the same ShutdownTimeout failure a single
-        process emits."""
+    def _close_session(self, session: _RouterSession) -> None:
+        """Wait out the session's in-flight requests, then detach it;
+        stragglers past the drain timeout fail with the same
+        ShutdownTimeout a single process emits."""
         deadline = time.monotonic() + _DRAIN_TIMEOUT
         while time.monotonic() < deadline:
             with self._lock:
                 if not session.by_client:
-                    return
+                    break
             time.sleep(_DRAIN_POLL)
-        with self._lock:
-            leftovers = [
-                self._routes.get(key)
-                for key in list(session.by_client.values())
-            ]
-        for route in leftovers:
-            if route is None:
-                continue
-            with self._lock:
-                existing = self._routes.pop((route.worker, route.wire_id), None)
-                if existing is not route:
-                    continue  # completed while we were collecting
-                if route.session is not None:
-                    route.session.by_client.pop(route.client_id, None)
-            if route.tenant is not None:
-                self._admission.release(route.tenant)
-            payload: Dict[str, object] = {
-                "event": "failed", "id": route.client_id,
-                "error": {"code": "timeout", "type": "ShutdownTimeout",
-                          "message": "request still running at shutdown"},
-            }
-            if route.target is not None:
-                payload["target"] = route.target
-            self._deliver(route, payload)
-
-    def _detach_session(self, session: _RouterSession) -> None:
         with self._lock:
             session.closed = True
             self._sessions.pop(session.index, None)
-            stale = [
-                self._routes.get(key) for key in list(session.by_client.values())
-            ]
-            session.by_client.clear()
-        for route in stale:
-            if route is None:
-                continue
-            with self._lock:
-                self._routes.pop((route.worker, route.wire_id), None)
-            if route.tenant is not None:
-                self._admission.release(route.tenant)
-
-    # ------------------------------------------------------------------ #
-    # serving
-    # ------------------------------------------------------------------ #
-    def serve_stream(self, lines, out: TextIO) -> int:
-        """Serve line-delimited JSON requests until EOF/shutdown."""
-        session = self._attach_session(out)
-        try:
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                response = self.handle_line(line, session)
-                if response is not None:
-                    session.emit(response)
-                if session.shutdown_requested:
-                    break
-            self._drain_session(session)
-        finally:
-            self._detach_session(session)
-        return 0
-
-    def serve_tcp(self, host: str, port: int):
-        """Threading TCP server speaking the same line protocol.
-
-        Same contract as :meth:`ServeFrontEnd.serve_tcp`: the caller owns
-        the returned server's lifecycle and reads the bound port off
-        ``server.server_address``.
-        """
-        front = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                out = SocketLineWriter(self.wfile)
-                session = front._attach_session(out)
-                try:
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8").strip()
-                        if not line:
-                            continue
-                        response = front.handle_line(line, session)
-                        if response is not None:
-                            session.emit(response)
-                        if session.shutdown_requested:
-                            break
-                    front._drain_session(session)
-                finally:
-                    front._detach_session(session)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        return Server((host, port), Handler)
+            leftovers = [self._routes.get(key)
+                         for key in session.by_client.values()]
+        for route in leftovers:
+            if route is not None:
+                self._fail_route(route, ShutdownTimeout())
 
     def close(self) -> None:
         """Stop relaying (the owner stops the supervisor itself)."""

@@ -24,7 +24,12 @@ epoch scheduler.  One request or response per line:
 * ``{"op": "stats"}`` — service counters (scheduler + session pool included).
 * ``{"op": "shutdown"}`` — drain outstanding requests and stop serving.
 
-Responses echo the client-chosen ``id``.  Admission failures surface as
+Responses echo the client-chosen ``id``.  The protocol itself — parsing,
+argument checks, the op table, error encoding, the locked line writer and
+the stdio/TCP line loops — lives once in :class:`LineProtocol`;
+:class:`ServeFrontEnd` and the routed
+:class:`~repro.distrib.router.RouterFrontEnd` only register handlers and a
+session lifecycle.  Admission failures surface as
 ``failed`` events with the same structured error object the CLI's
 ``select``/``batch`` commands emit on budget exhaustion (see
 :func:`error_payload`).  The protocol, fairness policies and tuning knobs
@@ -36,7 +41,7 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
-from typing import Dict, Optional, TextIO
+from typing import Dict, Iterable, Optional, TextIO
 
 from repro.core.results import TwoPhaseResult
 from repro.utils.exceptions import ReproError
@@ -53,6 +58,7 @@ _ERROR_CODES = {
     "RequestTimeoutError": "timeout",
     "RateLimitError": "rate_limited",
     "WorkerLostError": "worker_lost",
+    "ShutdownTimeout": "timeout",
 }
 
 #: Seconds between progress sweeps of the emitter thread.
@@ -91,7 +97,154 @@ def error_payload(error: Exception) -> Dict[str, object]:
     }
 
 
-class ServeFrontEnd:
+class ShutdownTimeout(ReproError):
+    """A request still running when its stream drained at shutdown."""
+
+    def __init__(self, message: str = "request still running at shutdown"):
+        super().__init__(message)
+
+
+def with_id(payload: Dict[str, object], request_id) -> Dict[str, object]:
+    """Append the client's correlation ``id`` to ``payload`` when it has one."""
+    if request_id is not None:
+        payload["id"] = request_id
+    return payload
+
+
+class LineSession:
+    """One client stream of the serve protocol.
+
+    Owns the stream's locked JSON-lines writer — event lines from any
+    thread never interleave — and the ``shutdown`` flag.  A write that
+    fails because the client went away marks the session ``closed`` and
+    drops the line: a vanished client must never kill the thread that was
+    writing to it.  ``binary`` streams (socket files) get UTF-8 bytes.
+    """
+
+    def __init__(self, out, *, binary: bool = False) -> None:
+        self._out = out
+        self._binary = binary
+        self._write_lock = threading.Lock()
+        self.shutdown_requested = False
+        self.closed = False
+
+    def emit(self, payload: Dict[str, object]) -> None:
+        text = json.dumps(payload) + "\n"
+        try:
+            with self._write_lock:
+                self._out.write(text.encode("utf-8") if self._binary else text)
+                self._out.flush()
+        except (OSError, ValueError):
+            self.closed = True  # client gone; later events are dropped
+
+
+class LineProtocol:
+    """The JSON-lines serve protocol, shared by every front end.
+
+    Parses and checks each line, answers ``shutdown``, encodes
+    :class:`~repro.utils.exceptions.ReproError` as a structured ``failed``
+    event, and dispatches every other op through one table to a handler
+    ``handler(message, session) -> reply or None`` the subclass defines.
+    ``_open_session(out, binary=...)`` / ``_close_session(session)`` are
+    the subclass's per-stream lifecycle around :meth:`serve_stream`.
+    """
+
+    #: op -> handler method; ``shutdown`` is answered here.
+    _OPS = {
+        "select": "_handle_select",
+        "poll": "_handle_poll",
+        "resume": "_handle_resume",
+        "stats": "_handle_stats",
+        "refresh": "_handle_refresh",
+        "ping": "_handle_ping",
+    }
+
+    def handle_line(self, line: str, session: LineSession) -> Optional[Dict]:
+        """Dispatch one protocol line; return the immediate response (if any)."""
+        try:
+            message = json.loads(line)
+        except json.JSONDecodeError as error:
+            return {"event": "error", "message": f"malformed JSON: {error}"}
+        if not isinstance(message, dict):
+            return {"event": "error", "message": "expected a JSON object"}
+        op = message.get("op")
+        request_id = message.get("id")
+        if op == "shutdown":
+            session.shutdown_requested = True
+            return with_id({"event": "shutting_down"}, request_id)
+        handler = self._OPS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            problem = f"unknown op {op!r}"
+        elif op == "select" and not (
+            isinstance(message.get("target"), str) and message["target"]
+        ):
+            problem = "select needs a 'target' string"
+        elif op == "refresh" and not (
+            message.get("added") or message.get("removed")
+        ):
+            problem = "refresh needs 'added' and/or 'removed' model names"
+        else:
+            try:
+                return getattr(self, handler)(message, session)
+            except ReproError as error:
+                return with_id(
+                    {"event": "failed", **error_payload(error)}, request_id
+                )
+        return {"event": "error", "id": request_id, "message": problem}
+
+    def serve_stream(self, lines: Iterable[str], out: TextIO, *,
+                     binary: bool = False) -> int:
+        """Serve line-delimited JSON requests from ``lines`` until EOF/shutdown.
+
+        Events for in-flight requests are written asynchronously between
+        reads; at EOF (or an explicit ``shutdown`` op) outstanding requests
+        are drained before returning.  ``binary`` marks ``out`` as a byte
+        stream (a socket file).  Returns a process exit code.
+        """
+        session = self._open_session(out, binary=binary)
+        try:
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                response = self.handle_line(line, session)
+                if response is not None:
+                    session.emit(response)
+                if session.shutdown_requested:
+                    break
+        finally:
+            self._close_session(session)
+        return 0
+
+    def serve_tcp(self, host: str, port: int):
+        """Bind a threading TCP server speaking the same line protocol.
+
+        Returns the started server; callers own its lifecycle
+        (``server.serve_forever()`` / ``server.shutdown()``).  The bound
+        port is ``server.server_address[1]`` (useful with ``port=0``).
+        """
+        front = self
+
+        def socket_lines(rfile):
+            try:
+                for raw in rfile:
+                    yield raw.decode("utf-8")
+            except OSError:
+                return  # a reset client ends its stream like EOF
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self) -> None:
+                front.serve_stream(socket_lines(self.rfile), self.wfile,
+                                   binary=True)
+
+        class Server(socketserver.ThreadingTCPServer):
+            allow_reuse_address = True
+            daemon_threads = True
+
+        return Server((host, port), Handler)
+
+
+class ServeFrontEnd(LineProtocol):
     """Line-oriented JSON protocol over one :class:`SelectionService`.
 
     One front end serves any number of streams/connections; submissions
@@ -128,83 +281,22 @@ class ServeFrontEnd:
             return len(self._startup_recovered)
 
     # ------------------------------------------------------------------ #
-    # stdin/stdout mode
+    # session lifecycle
     # ------------------------------------------------------------------ #
-    def serve_stream(self, lines, out: TextIO) -> int:
-        """Serve line-delimited JSON requests from ``lines`` until EOF/shutdown.
-
-        Events for in-flight requests are emitted asynchronously between
-        reads; at EOF (or an explicit ``shutdown`` op) outstanding requests
-        are drained before returning.  Returns a process exit code.
-        """
-        emitter = _EventEmitter(self, out)
+    def _open_session(self, out, *, binary: bool) -> "_EventEmitter":
+        emitter = _EventEmitter(self, out, binary=binary)
         emitter.start()
         self._adopt_recovered(emitter)
-        try:
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                response = self.handle_line(line, emitter)
-                if response is not None:
-                    emitter.emit(response)
-                if emitter.shutdown_requested:
-                    break
-        finally:
-            emitter.drain_and_stop()
-        return 0
+        return emitter
 
-    def handle_line(self, line: str, emitter: "_EventEmitter") -> Optional[Dict]:
-        """Dispatch one protocol line; return the immediate response (if any)."""
-        try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"event": "error", "message": f"malformed JSON: {error}"}
-        if not isinstance(message, dict):
-            return {"event": "error", "message": "expected a JSON object"}
-        op = message.get("op")
-        request_id = message.get("id")
-        try:
-            if op == "select":
-                return self._handle_select(message, emitter)
-            if op == "poll":
-                return self._handle_poll(message, emitter)
-            if op == "resume":
-                return self._handle_resume(request_id, emitter)
-            if op == "ping":
-                # Cheap liveness probe: answered from the scheduler's lock
-                # without touching artifacts — heartbeat traffic must stay
-                # O(1) however loaded the service is.
-                payload = {"event": "pong", **self.service.load()}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "refresh":
-                return self._handle_refresh(message)
-            if op == "stats":
-                payload = {"event": "stats", "stats": self.service.stats()}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            if op == "shutdown":
-                emitter.shutdown_requested = True
-                payload = {"event": "shutting_down"}
-                if request_id is not None:
-                    payload["id"] = request_id
-                return payload
-            return {"event": "error", "id": request_id,
-                    "message": f"unknown op {op!r}"}
-        except ReproError as error:
-            payload = {"event": "failed", **error_payload(error)}
-            if request_id is not None:
-                payload["id"] = request_id
-            return payload
+    def _close_session(self, emitter: "_EventEmitter") -> None:
+        emitter.drain_and_stop()
 
+    # ------------------------------------------------------------------ #
+    # op handlers
+    # ------------------------------------------------------------------ #
     def _handle_select(self, message: Dict, emitter: "_EventEmitter") -> Dict:
-        target = message.get("target")
-        if not isinstance(target, str) or not target:
-            return {"event": "error", "id": message.get("id"),
-                    "message": "select needs a 'target' string"}
+        target = message["target"]
         total_epochs = message.get("total_epochs", message.get("raise_budget"))
         # Per-request speculative mode: "exact" wins over "extrapolate";
         # absent both, the service default applies.
@@ -238,28 +330,32 @@ class ServeFrontEnd:
         snapshot["request"] = snapshot.pop("id", None)
         return {"event": "status", "id": request_id, **snapshot}
 
-    def _handle_refresh(self, message: Dict) -> Dict:
+    def _handle_ping(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+        # Cheap liveness probe: answered from the scheduler's lock without
+        # touching artifacts — heartbeat traffic must stay O(1) however
+        # loaded the service is.
+        return with_id({"event": "pong", **self.service.load()},
+                       message.get("id"))
+
+    def _handle_stats(self, message: Dict, emitter: "_EventEmitter") -> Dict:
+        return with_id({"event": "stats", "stats": self.service.stats()},
+                       message.get("id"))
+
+    def _handle_refresh(self, message: Dict, emitter: "_EventEmitter") -> Dict:
         """Apply a zoo update in place: in-flight requests drain on the old
         epoch, later admissions see the new one (``docs/zoo-updates.md``)."""
-        added = message.get("added") or []
-        removed = message.get("removed") or []
-        if not added and not removed:
-            return {"event": "error", "id": message.get("id"),
-                    "message": "refresh needs 'added' and/or 'removed' model names"}
-        result = self.service.refresh(added=added, removed=removed)
-        payload: Dict[str, object] = {
+        result = self.service.refresh(added=message.get("added") or [],
+                                      removed=message.get("removed") or [])
+        return with_id({
             "event": "refreshed",
             "zoo_version": result.new_version.key,
             "old_version": result.old_version.key,
             "added": len(result.added),
             "removed": len(result.removed),
             "reclustered": result.reclustered,
-        }
-        if message.get("id") is not None:
-            payload["id"] = message["id"]
-        return payload
+        }, message.get("id"))
 
-    def _handle_resume(self, request_id, emitter: "_EventEmitter") -> Dict:
+    def _handle_resume(self, message: Dict, emitter: "_EventEmitter") -> Dict:
         """Recover journaled in-flight requests and track them here."""
         self._adopt_recovered(emitter)  # startup recoveries join this stream
         handles = self.service.recover()
@@ -270,90 +366,29 @@ class ServeFrontEnd:
             entries.append(
                 {"id": rid, "target": handle.target_name, "request": handle.id}
             )
-        payload: Dict[str, object] = {
-            "event": "recovered",
-            "count": len(entries),
-            "requests": entries,
-        }
-        if request_id is not None:
-            payload["id"] = request_id
-        return payload
-
-    # ------------------------------------------------------------------ #
-    # TCP mode
-    # ------------------------------------------------------------------ #
-    def serve_tcp(self, host: str, port: int):
-        """Bind a threading TCP server speaking the same line protocol.
-
-        Returns the started server; callers own its lifecycle
-        (``server.serve_forever()`` / ``server.shutdown()``).  The bound
-        port is ``server.server_address[1]`` (useful with ``port=0``).
-        """
-        front = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                out = SocketLineWriter(self.wfile)
-                emitter = _EventEmitter(front, out)
-                emitter.start()
-                front._adopt_recovered(emitter)
-                try:
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8").strip()
-                        if not line:
-                            continue
-                        response = front.handle_line(line, emitter)
-                        if response is not None:
-                            emitter.emit(response)
-                        if emitter.shutdown_requested:
-                            break
-                finally:
-                    emitter.drain_and_stop()
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        return Server((host, port), Handler)
+        return with_id(
+            {"event": "recovered", "count": len(entries), "requests": entries},
+            message.get("id"),
+        )
 
 
-class SocketLineWriter:
-    """Minimal text adapter over a binary socket file.
-
-    Shared with the distributed router (:mod:`repro.distrib.router`), whose
-    TCP handler writes the same line-delimited JSON events.
-    """
-
-    def __init__(self, wfile) -> None:
-        self._wfile = wfile
-
-    def write(self, text: str) -> None:
-        self._wfile.write(text.encode("utf-8"))
-
-    def flush(self) -> None:
-        self._wfile.flush()
-
-
-class _EventEmitter:
+class _EventEmitter(LineSession):
     """Streams request lifecycle events for one client stream.
 
     A small poller thread watches tracked handles and emits a ``progress``
     event whenever a request completes another stage, then a terminal
     ``result``/``failed`` event — the streaming per-stage feedback of the
-    serve protocol.  All writes share one lock so event lines never
-    interleave.
+    serve protocol.
     """
 
-    def __init__(self, front: ServeFrontEnd, out) -> None:
+    def __init__(self, front: ServeFrontEnd, out, *, binary: bool) -> None:
+        super().__init__(out, binary=binary)
         self._front = front
-        self._out = out
-        self._write_lock = threading.Lock()
         self._tracked: Dict[object, object] = {}
         self._last_stage: Dict[object, int] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self.shutdown_requested = False
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -361,11 +396,6 @@ class _EventEmitter:
             target=self._watch, name="repro-serve-emitter", daemon=True
         )
         self._thread.start()
-
-    def emit(self, payload: Dict) -> None:
-        with self._write_lock:
-            self._out.write(json.dumps(payload) + "\n")
-            self._out.flush()
 
     def track(self, request_id, handle) -> None:
         with self._lock:
@@ -406,23 +436,17 @@ class _EventEmitter:
                 return
             del self._tracked[request_id]
             self._last_stage.pop(request_id, None)
-        if handle.error is not None:
-            self.emit({"event": "failed", "id": request_id,
-                       "target": handle.target_name,
-                       **error_payload(handle.error)})
-        elif handle.result is None:
-            # Still running (drain timed out): report abandonment rather
-            # than crash on a result that does not exist yet.
-            self.emit({
-                "event": "failed", "id": request_id,
-                "target": handle.target_name,
-                "error": {"code": "timeout", "type": "ShutdownTimeout",
-                          "message": "request still running at shutdown"},
-            })
-        else:
+        if handle.error is None and handle.result is not None:
             payload = result_payload(handle.result)
             payload["latency_seconds"] = handle.latency_seconds()
             self.emit({"event": "result", "id": request_id, **payload})
+            return
+        # No result yet means the drain timed out: report abandonment
+        # rather than crash on a result that does not exist yet.
+        self.emit({"event": "failed", "id": request_id,
+                   "target": handle.target_name,
+                   **error_payload(handle.error if handle.error is not None
+                                   else ShutdownTimeout())})
 
     def drain_and_stop(self) -> None:
         """Wait out every tracked request, emit its terminal event, stop."""
