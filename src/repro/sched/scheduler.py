@@ -235,6 +235,7 @@ class EpochScheduler:
         self._results_restored = 0
         self._recalls_restored = 0
         self._journal_errors = 0
+        self._recovery_skipped = 0
         self._arms_pruned = 0
         self._prunes_replayed = 0
         # Fused-training bookkeeping: per-geometry probe verdicts (True =
@@ -1257,7 +1258,10 @@ class EpochScheduler:
         then replays the journal, so the resumed run charges only what was
         never recorded.  Journals of other versions, other policies, or
         targets the current suite no longer knows are skipped — recovery
-        must never be the thing that crashes a restart.  Returns the new
+        must never be the thing that crashes a restart.  Journals of this
+        version and policy that cannot be resubmitted (an unreadable
+        extrapolation record, or a submit that raises) stay pending and are
+        counted in ``stats()["recovery_skipped"]``.  Returns the new
         handles in deterministic (journal path) order.
         """
         if self._persist is None:
@@ -1300,7 +1304,10 @@ class EpochScheduler:
                         num_trends=int(entry.extrapolation["num_trends"]),
                     )
                 except (KeyError, TypeError, ValueError):
-                    continue  # unreadable mode record: leave it pending
+                    # Unreadable mode record: leave it pending.
+                    with self._lock:
+                        self._recovery_skipped += 1
+                    continue
             try:
                 request = self.submit(
                     entry.target,
@@ -1311,6 +1318,8 @@ class EpochScheduler:
             except (SchedulerError, QueueFullError):
                 break  # closed or saturated: remaining journals stay pending
             except Exception:  # noqa: BLE001 — e.g. target gone from the suite
+                with self._lock:
+                    self._recovery_skipped += 1
                 continue
             recovered.append(request)
         return recovered
@@ -1334,6 +1343,7 @@ class EpochScheduler:
                 "active": len(self._active),
                 "completed": self._completed,
                 "failed": self._failed,
+                "recovery_skipped": self._recovery_skipped,
                 "rounds": self._rounds,
                 "arms_pruned": self._arms_pruned,
                 "session_pool": self._pool.stats(),

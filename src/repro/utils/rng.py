@@ -30,11 +30,12 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
 def spawn_rng(rng: np.random.Generator, *labels: object) -> np.random.Generator:
     """Derive an independent child generator from ``rng``.
 
-    The child stream is keyed by the hash of ``labels`` so that the same
-    parent seed and labels always produce the same child stream, no matter
-    how many other streams were drawn in between.
+    The child stream is keyed by the stable (process-independent) hash of
+    ``labels`` so that the same parent seed and labels always produce the
+    same child stream, no matter how many other streams were drawn in
+    between or which process draws them.
     """
-    key = abs(hash(tuple(str(label) for label in labels))) % (2**32)
+    key = _stable_hash("/".join(str(label) for label in labels))
     base = int(rng.integers(0, 2**31 - 1)) if not labels else 0
     seed_seq = np.random.SeedSequence(entropy=key + base)
     return np.random.default_rng(seed_seq)

@@ -19,6 +19,7 @@ encoder quality, reproducing the structure the paper exploits.
 from __future__ import annotations
 
 import threading
+import zlib
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,73 @@ from repro.zoo.catalog import ModelCatalogEntry
 _GAIN_FLOOR = 0.08
 #: Saturation constant of the concept-coverage curve.
 _COVERAGE_TAU = 0.045
+
+#: The hash constants of numpy's ``SeedSequence`` (``bit_generator.pyx``),
+#: which :func:`_seed_sequence_state` replays over arrays.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+#: Multiplier of PCG64's 128-bit LCG step (``pcg64.h``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_chain(init: int, mult: int, steps: int) -> np.ndarray:
+    """The successive values a SeedSequence hash constant takes."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append((chain[-1] * mult) & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+#: ``mix_entropy`` steps its constant once per hash: 4 to fill the pool of 4
+#: words, then 12 in the all-pairs mix.  ``generate_state`` steps its own
+#: constant once per output uint32 word: 8 words make 4 uint64 words.
+_CHAIN_A = _hash_chain(_INIT_A, _MULT_A, 16)
+_CHAIN_B = _hash_chain(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> _XSHIFT)
+
+
+def _seed_sequence_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(int(v)).generate_state(4, np.uint64)`` for every ``v``.
+
+    ``entropy`` is a uint32 array; the result is ``(len(entropy), 4)``
+    uint64.  The hash constants SeedSequence steps through do not depend on
+    the entropy, so every step of its scalar algorithm for a one-word
+    entropy becomes one uint32 array operation over all rows (uint32
+    arithmetic wraps exactly as the C code does).
+    """
+    words = np.asarray(entropy, dtype=np.uint32)
+    pool = np.zeros((4, words.size), dtype=np.uint32)
+    pool[0] = words
+    # mix_entropy: hash the entropy word and three zero pad words ...
+    pool = _hashmix(pool, _CHAIN_A[0:4, None], _CHAIN_A[1:5, None])
+    # ... then mix every word into every other.  Within one source word
+    # the three destinations are independent, so they update together.
+    step = 4
+    for src in range(4):
+        dst = [word for word in range(4) if word != src]
+        hashed = _hashmix(
+            pool[src], _CHAIN_A[step : step + 3, None], _CHAIN_A[step + 1 : step + 4, None]
+        )
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> _XSHIFT)
+        step += 3
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool,
+    # paired little-endian into uint64 words as numpy does.
+    state = _hashmix(
+        pool[[0, 1, 2, 3, 0, 1, 2, 3]], _CHAIN_B[0:8, None], _CHAIN_B[1:9, None]
+    )
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
 class PretrainedModel:
@@ -161,19 +229,33 @@ class PretrainedModel:
     def _deterministic_noise(self, features: np.ndarray, shape) -> np.ndarray:
         """Noise that is reproducible per input row yet statistically white.
 
-        Each row is hashed (together with a per-model key) into a seed for a
-        small generator, so encoding the same sample twice yields the same
-        representation — as a frozen real encoder would — while the noise
-        carries no information about the class signal.
+        Each row is hashed (together with a per-model key) into a seed, and
+        the row's noise is the first draws of ``np.random.default_rng(seed)``
+        — so encoding the same sample twice yields the same representation,
+        as a frozen real encoder would, while the noise carries no
+        information about the class signal.  The seeds of all rows go
+        through SeedSequence in one batch; one PCG64, local to the call, is
+        then set to each row's seeded state and draws that row.
         """
-        import zlib
-
         noise = np.empty(shape)
-        rounded = np.round(features, decimals=8)
-        for row in range(shape[0]):
-            digest = zlib.crc32(rounded[row].tobytes()) ^ self._noise_key
-            row_rng = np.random.default_rng(digest & 0x7FFFFFFF)
-            noise[row] = row_rng.standard_normal(shape[1])
+        rounded = np.ascontiguousarray(np.round(features, decimals=8))
+        digests = np.fromiter(map(zlib.crc32, rounded), dtype=np.uint32, count=shape[0])
+        seeds = (digests ^ np.uint32(self._noise_key & _MASK32)) & np.uint32(0x7FFFFFFF)
+        bit_generator = np.random.PCG64(0)
+        draw = np.random.Generator(bit_generator).standard_normal
+        words = _seed_sequence_state(seeds).tolist()
+        for out, (state_hi, state_lo, seq_hi, seq_lo) in zip(noise, words):
+            # PCG64's seeding step: inc = 2 * initseq + 1, one LCG step from
+            # zero, add initstate, one more step.
+            inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
+            state = ((inc + ((state_hi << 64) | state_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draw(out=out)
         return noise
 
     # ------------------------------------------------------------------ #

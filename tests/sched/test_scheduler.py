@@ -7,6 +7,7 @@ from oracles.serial_plan import serial_run, serial_select
 
 from repro.core.batch import build_phase_engines
 from repro.core.pipeline import OfflineArtifacts
+from repro.core.selection import FineSelection
 from repro.persist.store import PlanStore
 from repro.sched import EpochScheduler, SchedulerConfig
 from repro.utils.exceptions import (
@@ -123,6 +124,38 @@ class TestExplicitCandidates:
         )
         with pytest.raises(SchedulerError, match="journaled"):
             scheduler.submit("mnli", candidates=self.CANDIDATES)
+
+
+class TestRecovery:
+    @staticmethod
+    def _pending_journal(store, artifacts, name, target, **extra):
+        key = f"plan:zoo={artifacts.version.key}:fine_selection:{name}"
+        store.journal(key).append(
+            "request",
+            {
+                "plan_key": key,
+                "target": target,
+                "version_key": artifacts.version.key,
+                "method": FineSelection.method,
+                "top_k": 3,
+                "schedule": [1, 1, 1],
+                **extra,
+            },
+        )
+
+    def test_unresumable_journals_are_counted(self, artifacts, tmp_path):
+        store = PlanStore(tmp_path / "store")
+        # A target the suite no longer knows: submit raises.
+        self._pending_journal(store, artifacts, "gone", "no-such-target")
+        # An extrapolation record missing its knobs.
+        self._pending_journal(
+            store, artifacts, "torn-mode", "mnli", extrapolation={"slack": 0.1}
+        )
+        scheduler = EpochScheduler.for_artifacts(artifacts, persist=store)
+        assert scheduler.stats()["recovery_skipped"] == 0
+        assert scheduler.recover() == []
+        assert scheduler.stats()["recovery_skipped"] == 2
+        assert scheduler.load() == {"active": 0, "queued": 0}
 
 
 class TestConcurrentRequests:

@@ -1,5 +1,10 @@
 """Tests for repro.utils.rng."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,3 +66,21 @@ class TestStableHash:
 def test_spawn_rng_returns_generator():
     child = spawn_rng(np.random.default_rng(0), "child")
     assert isinstance(child, np.random.Generator)
+
+
+def test_spawn_rng_is_stable_across_processes():
+    """Child streams must not depend on the interpreter's salted ``hash()``."""
+    code = (
+        "import numpy as np; from repro.utils.rng import spawn_rng; "
+        "print(spawn_rng(np.random.default_rng(0), 'child', 3).integers(0, 1000, size=3))"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    draws = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        draws.append(out.stdout)
+    assert draws[0] == draws[1]

@@ -16,7 +16,29 @@ class TestEncoder:
     def test_encode_is_deterministic(self, nlp_hub_small, nlp_suite_small):
         model = nlp_hub_small.get("bert-base-uncased")
         features = nlp_suite_small.task("sst2").train.features[:5]
-        assert np.allclose(model.encode(features), model.encode(features))
+        assert model.encode(features).tobytes() == model.encode(features).tobytes()
+
+    def test_encode_rows_are_independent(self, nlp_hub_small, nlp_suite_small):
+        """A row's encoding never depends on the other rows of the batch."""
+        model = nlp_hub_small.get("bert-base-uncased")
+        features = nlp_suite_small.task("sst2").train.features[:40]
+        shape = (len(features), model.hidden_dim)
+        encoded = model.encode(features)
+        noise = model._deterministic_noise(features, shape)
+        perm = np.random.default_rng(0).permutation(len(features))
+        permuted = model.encode(features[perm])
+        permuted_noise = model._deterministic_noise(features[perm], shape)
+        for j, i in enumerate(perm):
+            assert permuted[j].tobytes() == encoded[i].tobytes()
+            assert permuted_noise[j].tobytes() == noise[i].tobytes()
+        for i in range(len(features)):
+            row = features[i : i + 1]
+            single_noise = model._deterministic_noise(row, (1, model.hidden_dim))
+            assert single_noise[0].tobytes() == noise[i].tobytes()
+            # A one-row projection takes BLAS's matrix-vector path, whose
+            # rounding may differ from the batched product's in the last
+            # bit; the noise added on top is checked bitwise above.
+            np.testing.assert_allclose(model.encode(row)[0], encoded[i], rtol=0, atol=1e-12)
 
     def test_encode_rejects_wrong_dimension(self, nlp_hub_small):
         model = nlp_hub_small.get("bert-base-uncased")
